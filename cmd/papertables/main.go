@@ -6,8 +6,9 @@
 //
 //	papertables [-scale quick|full] [-seed N] [-only E1,E5,X2] [-workers N]
 //
-// Quick scale finishes in seconds; full scale reproduces the sweeps
-// recorded in EXPERIMENTS.md (minutes).
+// Quick scale finishes in seconds; full scale runs the sweeps of the
+// experiment index in DESIGN.md §3 (E1–E6, F1–F2, X1–X9) at their full
+// sizes (minutes).
 package main
 
 import (

@@ -11,13 +11,14 @@ import (
 // DESIGN.md §5: (1) batched per-node fan-out versus naive per-agent moves,
 // and (2) incremental configuration hashing versus full rehash.
 
-// BenchmarkAblationBatchedStep: the production engine, many agents stacked
-// on few nodes (the regime the batching targets). Each iteration replays a
-// fixed 32-round window from the stacked start so the regime cannot drift
-// as the benchmark runs longer.
+// BenchmarkAblationBatchedStep: the generic engine's batched fan-out, many
+// agents stacked on few nodes (the regime the batching targets). Each
+// iteration replays a fixed 32-round window from the stacked start so the
+// regime cannot drift as the benchmark runs longer. The engine is pinned
+// to KernelGeneric so the measurement does not depend on auto selection.
 func BenchmarkAblationBatchedStep(b *testing.B) {
 	g := graph.Ring(1024)
-	sys, err := NewSystem(g, WithAgentsAt(AllOnNode(0, 1024)...))
+	sys, err := NewSystem(g, WithAgentsAt(AllOnNode(0, 1024)...), WithKernelMode(KernelGeneric))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,6 +107,55 @@ func BenchmarkFindLimitCycle(b *testing.B) {
 		}
 		if _, err := FindLimitCycle(sys, 1<<24, false); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusteredStart is the measured source of KernelAuto's occupancy
+// thresholds and re-check interval: the paper's worst-case start (all k
+// agents on node 0) run to coverage under auto, generic and fast. The
+// first cell stays sparse (a few percent of the nodes occupied) for its
+// whole run, so auto must track generic; the second climbs from one node
+// to about 0.3n, so auto must switch up to the flat kernel partway.
+func BenchmarkClusteredStart(b *testing.B) {
+	cells := []struct {
+		name     string
+		n, k     int
+		negative bool // Theorem 4's negative pointers instead of all-zero
+	}{
+		{"ring8192-k2048-zero", 8192, 2048, false},
+		{"ring1024-k512-neg", 1024, 512, true},
+	}
+	modes := []KernelMode{KernelAuto, KernelGeneric, KernelFast}
+	for _, c := range cells {
+		g := graph.Ring(c.n)
+		starts := AllOnNode(0, c.k)
+		opts := []Option{WithAgentsAt(starts...)}
+		if c.negative {
+			ptr, err := PointersNegative(g, starts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts = append(opts, WithPointers(ptr))
+		}
+		for _, mode := range modes {
+			b.Run(c.name+"/"+mode.String(), func(b *testing.B) {
+				sys, err := NewSystem(g, append(opts, WithKernelMode(mode))...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				budget := int64(64 * c.n * c.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sys.Reset()
+					if _, err := sys.RunUntilCovered(budget); err != nil {
+						b.Fatal(err)
+					}
+				}
+				st := sys.TierStats()
+				b.ReportMetric(float64(st.KernelRounds)/float64(sys.Round()), "kernel-frac")
+				b.ReportMetric(float64(st.Switches), "switches")
+			})
 		}
 	}
 }

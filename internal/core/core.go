@@ -11,13 +11,13 @@
 // processes only occupied nodes, making a round cost O(Σ_{occupied v}
 // min(deg v, agents at v)) instead of O(k).
 //
-// Stepping is tiered (see internal/kernel): on ring and path topologies
-// with dense-enough agent populations, NewSystem selects a specialized flat
-// kernel whose rounds are a few linear scans with direct v±1 addressing and
-// closed-form degree-2 port splits — bit-identical to the generic engine,
-// several times faster. WithKernelMode forces either tier; flow or arc
-// recording, per-round holds, and anything off the ring/path fall back to
-// the generic path automatically.
+// Stepping is tiered (see internal/kernel): on ring and path topologies a
+// specialized flat kernel runs rounds as a few linear scans with direct v±1
+// addressing and closed-form degree-2 port splits — bit-identical to the
+// generic engine, several times faster once enough nodes are occupied.
+// KernelAuto moves between the two tiers during the run as occupancy
+// changes; WithKernelMode forces either tier. Flow or arc recording and
+// anything off the ring/path fall back to the generic path automatically.
 //
 // The engine also supports delayed deployments (§2.1): StepHeld freezes a
 // chosen number of agents per node for one round, which is the primitive
@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rotorring/internal/graph"
 	"rotorring/internal/kernel"
@@ -41,9 +42,15 @@ type KernelMode int
 
 // Kernel modes.
 const (
-	// KernelAuto picks the specialized kernel when the topology has one and
-	// the agent population is dense enough to profit (k ≥ n/8), the generic
-	// engine otherwise. This is the default.
+	// KernelAuto runs the specialized kernel, when the topology has one,
+	// while enough nodes are occupied for its flat O(n) scan to beat the
+	// generic engine's O(occupied) walk, and the generic engine otherwise.
+	// The decision is taken at construction (and after every mutation) and
+	// re-checked every 64 rounds with hysteresis: up to the flat kernel at
+	// ≥ n/kernel.DenseFraction occupied nodes, down to the generic engine
+	// below n/kernel.SparseFraction. Switching mid-run is invisible in the
+	// results, because every tier is bit-identical to the generic engine
+	// round for round. This is the default.
 	KernelAuto KernelMode = iota
 	// KernelGeneric forces the generic port-labeled-graph engine.
 	KernelGeneric
@@ -88,15 +95,23 @@ type System struct {
 	// kernels; see kernel.State.
 	st kernel.State
 
-	// fast is the specialized kernel selected for this system (nil when
-	// only the generic engine applies). Fully-active rounds without flow
-	// or arc recording run on it — and held rounds too, when the kernel
-	// implements kernel.HeldStepper; everything else takes the generic
-	// path. parShards fixes the shard count under KernelParallel (0 =
-	// GOMAXPROCS at step time).
+	// spec is the specialized kernel the current graph and mode admit (nil
+	// when only the generic engine applies); fast is the tier in use now,
+	// either spec or nil. Fully-active rounds run on fast — and held rounds
+	// too, when it implements kernel.HeldStepper; everything else takes the
+	// generic path. Forced modes pin fast to spec; KernelAuto re-decides by
+	// occupancy (retier) when the round counter reaches nextCheck, which is
+	// MaxInt64 whenever there is nothing to decide. parShards fixes the
+	// shard count under KernelParallel (0 = GOMAXPROCS at step time).
+	spec      kernel.Stepper
 	fast      kernel.Stepper
+	nextCheck int64
 	kmode     KernelMode
 	parShards int
+
+	// tiers counts rounds per tier and tier switches since construction or
+	// the last Reset. It is observation only and never enters results.
+	tiers TierStats
 
 	ptr0 []int32 // initial pointers, for the arc-traversal law and Reset
 	ag0  []int64 // initial agent counts, for Reset
@@ -338,6 +353,7 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 	}
 
 	s.reselectKernel()
+	s.tiers = TierStats{} // the initial choice is not a switch
 
 	if c.hash {
 		s.EnableConfigHash()
@@ -345,26 +361,102 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 	return s, nil
 }
 
+// tierCheckInterval is how many rounds KernelAuto runs between occupancy
+// re-checks. A check costs O(1) on the generic tier (the occupied list's
+// length) and one O(n) scan on the flat tier, so at this interval it adds
+// under 2% to a flat round's cost, while a run that crosses a threshold
+// spends at most this many rounds on the slower tier.
+const tierCheckInterval = 64
+
 // reselectKernel re-evaluates the specialized-kernel choice for the current
-// graph, agent count and mode. Flow and arc recording happen inside the
-// generic move loop, so they exclude the specialized kernels. Called at
-// construction and again whenever the topology or population changes
-// (Rewire, AddAgents, RemoveAgents): fast paths re-specialize when the new
-// shape has a kernel and fall back to the generic engine otherwise.
+// graph and mode. Flow and arc recording happen inside the generic move
+// loop, so they exclude the specialized kernels. Called at construction and
+// again whenever the topology or population changes (Rewire, AddAgents,
+// RemoveAgents): fast paths re-specialize when the new shape has a kernel
+// and fall back to the generic engine otherwise, and KernelAuto re-applies
+// its occupancy rule on the spot.
 func (s *System) reselectKernel() {
+	s.spec = nil
 	if s.kmode != KernelGeneric && !s.recordFlows && !s.recordArcs && s.arcObs == nil {
-		force := s.kmode == KernelFast || s.kmode == KernelParallel
-		s.fast = kernel.Select(s.g, s.k, force)
+		s.spec = kernel.Select(s.g)
 		if s.kmode == KernelParallel {
 			// Parallelize returns a fresh stepper (it carries merge
 			// scratch); shapes without a parallel tier keep the serial
 			// kernel it was handed.
-			s.fast = kernel.Parallelize(s.fast, s.parShards)
+			s.spec = kernel.Parallelize(s.spec, s.parShards)
 		}
-	} else {
-		s.fast = nil
+	}
+	if s.kmode == KernelAuto && s.spec != nil {
+		s.retier()
+		return
+	}
+	s.nextCheck = math.MaxInt64
+	s.setTier(s.spec != nil)
+}
+
+// retier is KernelAuto's occupancy rule: run the flat kernel from
+// n/kernel.DenseFraction occupied nodes up, the generic engine below
+// n/kernel.SparseFraction, and keep the current tier in between. It
+// schedules the next check tierCheckInterval rounds ahead.
+func (s *System) retier() {
+	s.nextCheck = s.st.Round + tierCheckInterval
+	occ := s.occupiedCount()
+	flat := s.fast != nil
+	switch {
+	case !flat && occ >= s.n/kernel.DenseFraction:
+		flat = true
+	case flat && occ < s.n/kernel.SparseFraction:
+		flat = false
+	}
+	s.setTier(flat)
+}
+
+// setTier puts the system on the specialized kernel (flat) or the generic
+// engine, counting a switch when the tier changes.
+func (s *System) setTier(flat bool) {
+	if flat != (s.fast != nil) {
+		s.tiers.Switches++
+	}
+	s.fast = nil
+	if flat {
+		s.fast = s.spec
 	}
 }
+
+// occupiedCount returns the number of nodes holding agents: the occupied
+// list's length while it is valid (the generic tier keeps it so), one scan
+// of the count array otherwise.
+func (s *System) occupiedCount() int {
+	if s.occValid {
+		return len(s.occupied)
+	}
+	occ := 0
+	for _, a := range s.st.Agents {
+		if a > 0 {
+			occ++
+		}
+	}
+	return occ
+}
+
+// TierStats is the stepping-tier accounting of a System: how many rounds
+// each tier ran and how often the tier changed, since construction or the
+// last Reset. GenericRounds + KernelRounds always equals Round(). It
+// explains a run's speed and never enters its results.
+type TierStats struct {
+	// GenericRounds counts rounds stepped by the generic engine.
+	GenericRounds int64
+	// KernelRounds counts rounds, plain and held, stepped by the
+	// specialized kernel.
+	KernelRounds int64
+	// Switches counts changes of tier during the run: KernelAuto's
+	// occupancy re-checks and mutations that change the shape.
+	Switches int64
+}
+
+// TierStats reports the per-tier round counts and the number of tier
+// switches since construction or the last Reset.
+func (s *System) TierStats() TierStats { return s.tiers }
 
 // SetArcObserver installs fn as the per-move arc observer. During every
 // subsequent round, fn is invoked once per (source vertex, port) group of
@@ -404,9 +496,11 @@ func (s *System) Pointer(v int) int { return int(s.st.Ptr[v]) }
 // InitialPointer returns the pointer of v at construction time.
 func (s *System) InitialPointer(v int) int { return int(s.ptr0[v]) }
 
-// KernelName reports the stepping kernel fully-active rounds run on:
-// "ring", "path" or "ring-parallel" for the specialized tiers, "generic"
-// otherwise.
+// KernelName reports the stepping kernel the next fully-active round runs
+// on: "ring", "path" or "ring-parallel" for the specialized tiers,
+// "generic" otherwise. Under KernelAuto this is the current tier, which
+// can change during the run as occupancy does; TierStats accounts for the
+// whole run.
 func (s *System) KernelName() string {
 	if s.fast == nil {
 		return "generic"
@@ -503,8 +597,12 @@ func (s *System) ArcTraversals(v, p int) int64 {
 
 // Step runs one synchronous round with every agent active.
 func (s *System) Step() {
+	if s.st.Round >= s.nextCheck {
+		s.retier()
+	}
 	if s.fast != nil {
 		s.fast.Step(&s.st)
+		s.tiers.KernelRounds++
 		s.occValid = false
 		s.lastVisitedFast = true
 		return
@@ -554,11 +652,16 @@ func (s *System) touchAgents(v int) {
 // generic engine below, which everything else falls back to. StepHeld(nil)
 // on a system with a specialized kernel is equivalent to Step but
 // deliberately takes the generic path — it is the reference arm of the
-// differential tests.
+// differential tests. Under KernelAuto, held rounds take part in the
+// occupancy re-check exactly like plain ones.
 func (s *System) StepHeld(held []int64) {
+	if s.st.Round >= s.nextCheck {
+		s.retier()
+	}
 	if held != nil && s.fast != nil {
 		if hs, ok := s.fast.(kernel.HeldStepper); ok {
 			hs.StepHeld(&s.st, held)
+			s.tiers.KernelRounds++
 			s.occValid = false
 			// The kernel maintains the round's visited list eagerly (held
 			// stayers are occupied but not visited, so it cannot be derived
@@ -691,6 +794,7 @@ func (s *System) StepHeld(held []int64) {
 	s.occSorted = false
 
 	s.st.Round++
+	s.tiers.GenericRounds++
 	if !anyHeld {
 		s.st.FullyActiveRounds++
 	}
@@ -742,7 +846,8 @@ func (s *System) StateEqual(o *System) bool {
 }
 
 // Clone returns a deep copy of the system sharing only the immutable graph
-// and the (stateless) stepping kernel.
+// and the (stateless) stepping kernel. The copy keeps the current tier, the
+// re-check schedule and the tier accounting.
 func (s *System) Clone() *System {
 	c := &System{
 		g:               s.g,
@@ -750,7 +855,10 @@ func (s *System) Clone() *System {
 		n:               s.n,
 		k:               s.k,
 		st:              s.st.Clone(),
+		spec:            s.spec,
 		fast:            s.fast,
+		nextCheck:       s.nextCheck,
+		tiers:           s.tiers,
 		kmode:           s.kmode,
 		parShards:       s.parShards,
 		ptr0:            append([]int32(nil), s.ptr0...),
@@ -801,7 +909,6 @@ func (s *System) Reset() {
 	}
 	copy(s.st.Ptr, s.ptr0)
 	copy(s.st.Agents, s.ag0)
-	s.reselectKernel()
 	s.occupied = s.occupied[:0]
 	s.st.Covered = 0
 	s.st.CoverRound = -1
@@ -831,6 +938,11 @@ func (s *System) Reset() {
 	if s.st.Covered == s.n {
 		s.st.CoverRound = 0
 	}
+	// Select afresh, as at construction: the tier must not depend on where
+	// the previous run ended.
+	s.fast = nil
+	s.reselectKernel()
+	s.tiers = TierStats{} // the counts restart with the round clock
 	if s.recordFlows {
 		for i := range s.flows {
 			s.flows[i] = 0

@@ -302,37 +302,96 @@ func TestKernelPathTwoNodes(t *testing.T) {
 	}
 }
 
-// TestKernelAutoSelection pins the density heuristic: dense ring and path
-// populations select the specialized kernel, sparse ones and unsupported
-// topologies fall back to the generic engine, and the recording options pin
-// a system to the generic path regardless of mode.
+// TestKernelAutoSelection pins the construction-time choice: ring and path
+// populations occupying at least n/8 nodes select the specialized kernel,
+// sparser ones — including a dense population stacked on one node — and
+// unsupported topologies fall back to the generic engine, and the
+// recording options pin a system to the generic path regardless of mode.
 func TestKernelAutoSelection(t *testing.T) {
 	ring := graph.Ring(64)
 	cases := []struct {
 		name string
 		g    *graph.Graph
-		k    int
+		pos  []int
 		opts []Option
 		want string
 	}{
-		{"dense ring", ring, 16, nil, "ring"},
-		{"sparse ring", ring, 2, nil, "generic"},
-		{"sparse ring forced", ring, 2, []Option{WithKernelMode(KernelFast)}, "ring"},
-		{"dense ring forced generic", ring, 64, []Option{WithKernelMode(KernelGeneric)}, "generic"},
-		{"dense path", graph.Path(32), 32, nil, "path"},
-		{"torus", graph.Torus2D(4, 4), 64, nil, "generic"},
-		{"torus forced fast", graph.Torus2D(4, 4), 64, []Option{WithKernelMode(KernelFast)}, "generic"},
-		{"ring with flows", ring, 64, []Option{WithFlowRecording()}, "generic"},
-		{"ring with arcs", ring, 64, []Option{WithArcCounting()}, "generic"},
+		{"dense ring", ring, EquallySpaced(64, 8), nil, "ring"},
+		{"sparse ring", ring, EquallySpaced(64, 7), nil, "generic"},
+		{"clustered ring", ring, AllOnNode(0, 64), nil, "generic"},
+		{"sparse ring forced", ring, EquallySpaced(64, 2), []Option{WithKernelMode(KernelFast)}, "ring"},
+		{"dense ring forced generic", ring, EquallySpaced(64, 64), []Option{WithKernelMode(KernelGeneric)}, "generic"},
+		{"dense path", graph.Path(32), EquallySpaced(32, 32), nil, "path"},
+		{"torus", graph.Torus2D(4, 4), EquallySpaced(16, 64), nil, "generic"},
+		{"torus forced fast", graph.Torus2D(4, 4), EquallySpaced(16, 64), []Option{WithKernelMode(KernelFast)}, "generic"},
+		{"ring with flows", ring, EquallySpaced(64, 64), []Option{WithFlowRecording()}, "generic"},
+		{"ring with arcs", ring, EquallySpaced(64, 64), []Option{WithArcCounting()}, "generic"},
 	}
 	for _, tc := range cases {
-		opts := append([]Option{WithAgentsAt(EquallySpaced(tc.g.NumNodes(), tc.k)...)}, tc.opts...)
+		opts := append([]Option{WithAgentsAt(tc.pos...)}, tc.opts...)
 		s, err := NewSystem(tc.g, opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := s.KernelName(); got != tc.want {
 			t.Errorf("%s: kernel %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestKernelAutoTierStats pins the tier accounting on the paper's
+// worst-case start with negative pointers: the occupied set grows from one
+// node to about 0.3n before coverage, so KernelAuto starts on the generic
+// engine and switches up to the ring kernel partway. The per-tier rounds
+// sum to Round() throughout, survive Clone, and restart with Reset.
+func TestKernelAutoTierStats(t *testing.T) {
+	g := graph.Ring(1024)
+	starts := AllOnNode(0, 512)
+	ptr, err := PointersNegative(g, starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSystem(g, WithAgentsAt(starts...), WithPointers(ptr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.TierStats(); st != (TierStats{}) {
+		t.Fatalf("fresh system reports %+v", st)
+	}
+	if _, err := s.RunUntilCovered(1 << 30); err != nil {
+		t.Fatal(err)
+	}
+	st := s.TierStats()
+	if st.GenericRounds+st.KernelRounds != s.Round() {
+		t.Fatalf("tier rounds %+v do not sum to Round() = %d", st, s.Round())
+	}
+	if st.GenericRounds == 0 || st.KernelRounds == 0 || st.Switches == 0 {
+		t.Fatalf("clustered negative-pointer cover: %+v, want rounds on both tiers and a switch", st)
+	}
+	if s.KernelName() != "ring" {
+		t.Fatalf("covered system on %q, want ring", s.KernelName())
+	}
+	if c := s.Clone(); c.TierStats() != st || c.KernelName() != s.KernelName() {
+		t.Fatalf("clone reports %+v on %q, want %+v on %q", c.TierStats(), c.KernelName(), st, s.KernelName())
+	}
+	s.Reset()
+	if st := s.TierStats(); st != (TierStats{}) || s.KernelName() != "generic" {
+		t.Fatalf("after Reset: %+v on %q, want zero counters on generic", st, s.KernelName())
+	}
+	s.Run(10)
+	if st := s.TierStats(); st.GenericRounds != 10 || st.KernelRounds != 0 {
+		t.Fatalf("after Reset and 10 rounds: %+v", st)
+	}
+
+	// Forced modes never switch on their own.
+	for _, mode := range []KernelMode{KernelGeneric, KernelFast} {
+		f, err := NewSystem(g, WithAgentsAt(starts...), WithPointers(ptr), WithKernelMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Run(3 * tierCheckInterval)
+		if st := f.TierStats(); st.Switches != 0 || st.GenericRounds+st.KernelRounds != f.Round() {
+			t.Fatalf("%v: %+v after %d rounds", mode, st, f.Round())
 		}
 	}
 }
@@ -670,5 +729,182 @@ func FuzzKernelParallelEquivalence(f *testing.F) {
 			}
 			compareSystems(t, c, r, gen, par)
 		}
+	})
+}
+
+// autoConfig is one KernelAuto switching scenario: all k agents start on
+// node 0 of a ring or path, with all-zero or negative pointers.
+type autoConfig struct {
+	diffConfig
+	negative bool
+}
+
+// autoPair builds the scenario twice, under KernelAuto and KernelGeneric.
+func autoPair(t *testing.T, c autoConfig) (auto, gen *System) {
+	t.Helper()
+	var g *graph.Graph
+	if c.ring {
+		g = graph.Ring(c.n)
+	} else {
+		g = graph.Path(c.n)
+	}
+	starts := AllOnNode(0, c.k)
+	opts := []Option{WithAgentsAt(starts...)}
+	if c.negative {
+		ptr, err := PointersNegative(g, starts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts = append(opts, WithPointers(ptr))
+	}
+	if c.hash {
+		opts = append(opts, WithConfigHash())
+	}
+	mk := func(mode KernelMode) *System {
+		s, err := NewSystem(g, append(opts, WithKernelMode(mode))...)
+		if err != nil {
+			t.Fatalf("%v: NewSystem: %v", c, err)
+		}
+		return s
+	}
+	return mk(KernelAuto), mk(KernelGeneric)
+}
+
+// autoHarness steps a KernelAuto system and its KernelGeneric reference in
+// lockstep, comparing them after every round and counting the auto
+// system's tier switches by direction.
+type autoHarness struct {
+	t         *testing.T
+	c         autoConfig
+	auto, gen *System
+	rng       *xrand.Rand
+	held      []int64
+	round     int
+	up, down  int
+}
+
+func (d *autoHarness) flat() bool { return d.auto.KernelName() != "generic" }
+
+// step runs one round. sink > 0 turns it into a held round that pins every
+// agent on a node divisible by sink, so the population drains into n/sink
+// nodes over the following rounds; otherwise roughly one round in four
+// holds a random handful of agents.
+func (d *autoHarness) step(sink int) {
+	before := d.flat()
+	switch {
+	case sink > 0:
+		for v := range d.held {
+			d.held[v] = 0
+			if v%sink == 0 {
+				d.held[v] = d.gen.AgentsAt(v)
+			}
+		}
+		d.auto.StepHeld(d.held)
+		d.gen.StepHeld(d.held)
+	case d.rng.Intn(4) == 0:
+		for v := range d.held {
+			d.held[v] = 0
+		}
+		for _, v := range d.gen.Occupied() {
+			if d.rng.Bool() {
+				d.held[v] = int64(d.rng.Intn(int(d.gen.AgentsAt(v)) + 1))
+			}
+		}
+		d.auto.StepHeld(d.held)
+		d.gen.StepHeld(d.held)
+	default:
+		d.auto.Step()
+		d.gen.Step()
+	}
+	d.round++
+	compareSystems(d.t, d.c.diffConfig, d.round, d.gen, d.auto)
+	switch after := d.flat(); {
+	case after && !before:
+		d.up++
+	case before && !after:
+		d.down++
+	}
+}
+
+// runUntil steps until the auto system is on the flat kernel (want true)
+// or the generic engine (want false), for at most limit rounds.
+func (d *autoHarness) runUntil(want bool, sink, limit int) {
+	for i := 0; i < limit && d.flat() != want; i++ {
+		d.step(sink)
+	}
+}
+
+// exercise drives one scenario through both thresholds: up from the
+// clustered start, down while a sink hold drains the agents into n/32
+// nodes, and up again once they are released, with a Clone swap and a
+// Reset partway. It returns the switch counts by direction.
+func exercise(t *testing.T, c autoConfig, seed uint64) (up, down int) {
+	t.Helper()
+	auto, gen := autoPair(t, c)
+	d := &autoHarness{t: t, c: c, auto: auto, gen: gen, rng: xrand.New(seed), held: make([]int64, c.n)}
+	compareSystems(t, c.diffConfig, 0, gen, auto)
+	limit := c.rounds
+	d.runUntil(true, 0, limit)
+	// Continue on clones: they must inherit the tier and its schedule.
+	flat := d.flat()
+	d.auto, d.gen = d.auto.Clone(), d.gen.Clone()
+	if d.flat() != flat {
+		t.Fatalf("%v: clone changed tier to %q", c, d.auto.KernelName())
+	}
+	d.runUntil(false, 32, limit)
+	d.runUntil(true, 0, limit)
+	st := d.auto.TierStats()
+	if st.GenericRounds+st.KernelRounds != d.auto.Round() {
+		t.Fatalf("%v: tier rounds %+v do not sum to Round() = %d", c, st, d.auto.Round())
+	}
+	if st.Switches != int64(d.up+d.down) {
+		t.Fatalf("%v: %d switches counted, %d observed", c, st.Switches, d.up+d.down)
+	}
+	up, down = d.up, d.down
+	d.auto.Reset()
+	d.gen.Reset()
+	d.round = 0
+	compareSystems(t, c.diffConfig, 0, d.gen, d.auto)
+	for i := 0; i < 2*tierCheckInterval+1; i++ {
+		d.step(0)
+	}
+	return up, down
+}
+
+// TestKernelAutoSwitching is the differential test for KernelAuto's
+// mid-run tier switching: clustered starts on rings and paths, with zero
+// and negative pointers, hashing on and off and held rounds interleaved,
+// must match the generic engine round for round while the auto system
+// moves up to the flat kernel and back down. At least one switch in each
+// direction must actually happen.
+func TestKernelAutoSwitching(t *testing.T) {
+	var up, down int
+	for i, c := range []autoConfig{
+		{diffConfig{ring: true, n: 128, k: 64, rounds: 4000}, true},
+		{diffConfig{ring: true, n: 160, k: 40, hash: true, rounds: 4000}, false},
+		{diffConfig{ring: false, n: 96, k: 48, rounds: 4000}, true},
+		{diffConfig{ring: false, n: 112, k: 56, hash: true, rounds: 4000}, false},
+	} {
+		u, dn := exercise(t, c, uint64(i+1))
+		up += u
+		down += dn
+	}
+	if up == 0 || down == 0 {
+		t.Fatalf("switches up %d, down %d; want at least one each way", up, down)
+	}
+}
+
+// FuzzKernelAutoEquivalence fuzzes KernelAuto's mid-run tier switching
+// against the generic engine over the same scenarios as
+// TestKernelAutoSwitching.
+func FuzzKernelAutoEquivalence(f *testing.F) {
+	f.Add(uint64(1), uint8(100), uint16(50), true, true, false)
+	f.Add(uint64(2), uint8(60), uint16(9), false, false, true)
+	f.Add(uint64(3), uint8(150), uint16(400), true, false, true)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, kRaw uint16, ring, negative, hash bool) {
+		n := 3 + int(nRaw)%160
+		k := 1 + int(kRaw)%(2*n)
+		c := autoConfig{diffConfig{ring: ring, n: n, k: k, hash: hash, rounds: 1500}, negative}
+		exercise(t, c, seed)
 	})
 }

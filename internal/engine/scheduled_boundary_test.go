@@ -182,7 +182,7 @@ func sameValue(a, b float64) bool {
 // the repair — which restores the pristine topology — re-specializes back
 // to the ring kernel. KernelName is asserted in every epoch.
 func TestScheduledKernelRespecializesAcrossFaultEpochs(t *testing.T) {
-	// 8 agents on 48 nodes is past the density threshold, so KernelAuto
+	// 8 agents on 48 nodes occupy at least n/8 nodes, so KernelAuto
 	// selects the ring kernel exactly as a sweep job would.
 	sp := buildScheduledRotor(t, 48, 8, 2201, "edgefail:t=50,count=1,repair=150")
 	kernel := func() string { return sp.inner.(*rotorProc).sys.KernelName() }

@@ -127,8 +127,9 @@ type Kernel int
 
 // Kernel tiers. The zero value is the default (automatic selection).
 const (
-	// KernelAuto lets each job pick: specialized rotor kernels and
-	// counts-based walks where dense enough, generic engines otherwise.
+	// KernelAuto lets each job pick: specialized rotor kernels while
+	// enough nodes are occupied (re-checked as the run goes), counts-based
+	// walks where walkers are dense enough, generic engines otherwise.
 	KernelAuto Kernel = iota
 	// KernelGeneric forces the generic rotor engine and per-agent walks.
 	KernelGeneric

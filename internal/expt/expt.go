@@ -23,8 +23,9 @@ import (
 // Scale selects sweep sizes.
 type Scale int
 
-// Scales. Quick is CI-sized (seconds per experiment); Full reproduces the
-// sweeps recorded in EXPERIMENTS.md (minutes).
+// Scales. Quick is CI-sized (seconds per experiment); Full runs the
+// sweeps of DESIGN.md §3's experiment index (E1–E6, F1–F2, X1–X9) at full
+// size (minutes).
 const (
 	Quick Scale = iota + 1
 	Full

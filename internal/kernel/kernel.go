@@ -1,8 +1,8 @@
 // Package kernel is the tiered stepping subsystem of the rotor-router
 // engine: specialized round kernels for the topologies the paper's headline
 // results live on (the ring and the path, both degree ≤ 2), selected
-// automatically by core.NewSystem and falling back to the generic
-// port-labeled-graph machinery everywhere else.
+// automatically by core.System by shape and occupancy, and falling back to
+// the generic port-labeled-graph machinery everywhere else.
 //
 // The package owns two things:
 //
@@ -205,10 +205,24 @@ func isPathShape(g *graph.Graph, n int) bool {
 	return true
 }
 
-// DenseFraction is the density threshold of automatic kernel selection: the
-// flat kernels scan all n nodes per round, so they only pay off against the
-// generic engine's occupied-list walk when agents are at least n/DenseFraction.
-const DenseFraction = 8
+// DenseFraction and SparseFraction bound the hysteresis band of automatic
+// kernel selection (core.KernelAuto). The quantity they are applied to is
+// the number of occupied nodes, not the number of agents: a flat kernel
+// scans all n nodes per round (about 5.5–8.5 ns a node on a 2-vCPU Xeon
+// host), while the generic engine walks only the occupied list (about
+// 35–50 ns an occupied node, more once the ring outgrows the cache), so
+// the flat scan wins once roughly n/7 to n/6 nodes are occupied —
+// whatever k is. A k = n/4 population stacked on one node (the paper's
+// worst-case start) fills only a few percent of the ring for most of its
+// run. Auto selection moves up to the flat kernel when at least
+// n/DenseFraction nodes are occupied and back down to the generic engine
+// when fewer than n/SparseFraction are; between the two it keeps the tier
+// it has, so a population near the crossover does not flap.
+// BenchmarkClusteredStart in internal/core measures both sides.
+const (
+	DenseFraction  = 8
+	SparseFraction = 16
+)
 
 // ForRing returns the ring kernel and ForPath the path kernel; both are
 // stateless singletons.
@@ -217,19 +231,12 @@ func ForRing() Stepper { return ringStepper{} }
 // ForPath returns the path kernel.
 func ForPath() Stepper { return pathStepper{} }
 
-// Select returns the specialized kernel for g, if one exists. With force
-// set, density is ignored; otherwise the kernel is only selected when k ≥
-// n/DenseFraction, the regime where the flat scan beats the generic
-// occupied-list engine. A nil return means "use the generic engine".
-func Select(g *graph.Graph, k int64, force bool) Stepper {
-	shape := DetectShape(g)
-	if shape == ShapeGeneral {
-		return nil
-	}
-	if !force && k < int64(g.NumNodes()/DenseFraction) {
-		return nil
-	}
-	switch shape {
+// Select returns the specialized kernel for g's shape, or nil when only
+// the generic engine applies. It is shape detection only; whether a run
+// uses the kernel it returns is the caller's decision (core.System weighs
+// occupancy under KernelAuto).
+func Select(g *graph.Graph) Stepper {
+	switch DetectShape(g) {
 	case ShapeRing:
 		return ringStepper{}
 	case ShapePath:

@@ -9,7 +9,7 @@ import (
 // The full behavioral contract — bit-identical equivalence with the
 // generic engine — is enforced by the differential suite in internal/core
 // (which owns both engines). These tests cover the package's own
-// primitives: shape detection, selection policy, hashing and state
+// primitives: shape detection, kernel selection by shape, hashing and state
 // cloning.
 
 func TestDetectShape(t *testing.T) {
@@ -40,20 +40,13 @@ func TestShapeStrings(t *testing.T) {
 }
 
 func TestSelectPolicy(t *testing.T) {
-	ring := graph.Ring(80)
-	if s := Select(ring, 80/DenseFraction, false); s == nil || s.Name() != "ring" {
-		t.Error("dense ring not selected at the threshold")
+	if s := Select(graph.Ring(80)); s == nil || s.Name() != "ring" {
+		t.Error("ring kernel not selected for the ring")
 	}
-	if s := Select(ring, 80/DenseFraction-1, false); s != nil {
-		t.Error("sparse ring selected without force")
+	if s := Select(graph.Path(16)); s == nil || s.Name() != "path" {
+		t.Error("path kernel not selected for the path")
 	}
-	if s := Select(ring, 1, true); s == nil || s.Name() != "ring" {
-		t.Error("forced sparse ring not selected")
-	}
-	if s := Select(graph.Path(16), 16, false); s == nil || s.Name() != "path" {
-		t.Error("dense path not selected")
-	}
-	if s := Select(graph.Complete(8), 1000, true); s != nil {
+	if s := Select(graph.Complete(8)); s != nil {
 		t.Error("general graph got a specialized kernel")
 	}
 }

@@ -479,3 +479,33 @@ func TestKernelOptionFacade(t *testing.T) {
 		t.Error("invalid kernel policy accepted")
 	}
 }
+
+// TestRotorTierStats pins the public tier accounting: a worst-case start
+// with negative pointers on Ring(1024) begins on the generic engine (one
+// occupied node) and moves to the ring kernel as the agents spread; the
+// per-tier rounds sum to Round, and Reset restarts the count.
+func TestRotorTierStats(t *testing.T) {
+	sim, err := New(Ring(1024), RotorRouter(),
+		Agents(512), Place(PlaceSingleNode), Pointers(PointerNegative))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := sim.(*RotorSim)
+	if got := rs.KernelName(); got != "generic" {
+		t.Fatalf("clustered start on %q, want generic", got)
+	}
+	if _, err := rs.CoverTime(0); err != nil {
+		t.Fatal(err)
+	}
+	st := rs.TierStats()
+	if st.GenericRounds+st.KernelRounds != rs.Round() || st.GenericRounds == 0 || st.KernelRounds == 0 || st.Switches == 0 {
+		t.Fatalf("after cover in %d rounds: %+v, want both tiers used and a switch", rs.Round(), st)
+	}
+	if got := rs.KernelName(); got != "ring" {
+		t.Fatalf("spread population on %q, want ring", got)
+	}
+	rs.Reset()
+	if st := rs.TierStats(); st != (TierStats{}) {
+		t.Fatalf("after Reset: %+v", st)
+	}
+}

@@ -59,7 +59,9 @@ type KernelPolicy int
 // Kernel policies.
 const (
 	// KernelAuto picks the fastest equivalent engine per topology and
-	// density. This is the default.
+	// population: for the rotor, by the number of occupied nodes,
+	// re-checked during the run; for walks, by walker density. This is the
+	// default.
 	KernelAuto KernelPolicy = iota
 	// KernelGeneric forces the generic rotor engine / per-agent walks.
 	KernelGeneric
@@ -275,9 +277,17 @@ func (s *RotorSim) Graph() *Graph { return s.sys.Graph() }
 // ProcessName returns the registry name of this process kind: "rotor".
 func (s *RotorSim) ProcessName() string { return engine.ProcRotor }
 
-// KernelName reports the stepping kernel in use ("ring", "path" or
-// "generic").
+// KernelName reports the stepping kernel the simulation is on now ("ring",
+// "path" or "generic"). With automatic selection the kernel can change
+// during a run as the agents spread or gather; TierStats accounts for the
+// whole run.
 func (s *RotorSim) KernelName() string { return s.sys.KernelName() }
+
+// TierStats reports how many rounds ran on the generic engine and on the
+// specialized kernel, and how often the simulation switched between them,
+// since construction or the last Reset. It is for observation only: the
+// tiers are bit-identical, so none of this affects results.
+func (s *RotorSim) TierStats() TierStats { return s.sys.TierStats() }
 
 // Round returns the number of completed rounds.
 func (s *RotorSim) Round() int64 { return s.sys.Round() }
@@ -377,6 +387,11 @@ func (s *RotorSim) CoverTime(maxRounds int64) (int64, error) {
 
 // ReturnStats reports the limit-behavior recurrence measurements (§4).
 type ReturnStats = core.ReturnStats
+
+// TierStats is a rotor simulation's stepping-tier accounting: rounds on
+// the generic engine, rounds on the specialized kernel (the two sum to
+// Round), and tier switches.
+type TierStats = core.TierStats
 
 // LimitCycle describes the detected limit cycle of the deterministic
 // system.

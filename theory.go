@@ -9,8 +9,9 @@ import (
 // This file exposes the paper's asymptotic predictions (Table 1) as
 // normalizing functions, plus the analytical artifacts of §2.3 and §3.2.
 // The predictions are Θ-shapes: measured times divided by these values
-// should be flat across sweeps of n and k (see EXPERIMENTS.md for the
-// measured constants).
+// should be flat across sweeps of n and k (see the experiment index in
+// DESIGN.md §3, E1–E6, and run cmd/papertables for the measured
+// constants).
 
 // HarmonicNumber returns H_k = 1 + 1/2 + ... + 1/k, the paper's stand-in
 // for log k (Lemma 13 is stated with H_k).

@@ -6,7 +6,7 @@ GO ?= go
 # Benchtime for bench-kernels; CI smoke uses 1x, local comparisons 1s+.
 BENCHTIME ?= 1s
 
-.PHONY: all build vet fmt fmt-check test race race-short bench-smoke bench-kernels bench-baseline bench-json examples-smoke fuzz-smoke service-smoke chaos-smoke cluster-smoke verify ci clean
+.PHONY: all build vet fmt fmt-check test race race-short bench-smoke bench-kernels bench-baseline bench-json examples-smoke fuzz-smoke perfbench-vet service-smoke chaos-smoke cluster-smoke verify ci clean
 
 all: verify
 
@@ -18,6 +18,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is a nested module, so ./... above neither builds nor vets it;
+# vet it on its own so a public-API change cannot break the benchmark
+# unnoticed. Writes nothing under perfbench/.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	gofmt -w .
@@ -113,7 +119,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseMission$$' -fuzztime $(FUZZTIME)
 
-ci: build vet fmt-check race bench-smoke bench-kernels-smoke examples-smoke service-smoke chaos-smoke cluster-smoke fuzz-smoke
+ci: build vet perfbench-vet fmt-check race bench-smoke bench-kernels-smoke examples-smoke service-smoke chaos-smoke cluster-smoke fuzz-smoke
 
 # CI variant of bench-kernels: single iteration, still exercises every tier.
 .PHONY: bench-kernels-smoke

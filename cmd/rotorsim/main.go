@@ -8,8 +8,8 @@
 // -metric cover|return|restab_time..., -schedule
 // none|delay:...|edgefail:..., -mission none|explore|patrol:...), so
 // processes, metrics and scenario families registered by other packages
-// are reachable without command changes; -walk and -return remain as
-// deprecated aliases. The -probes flag attaches registered stride-sampled
+// are reachable without command changes; -return remains as a deprecated
+// alias of -metric return. The -probes flag attaches registered stride-sampled
 // probes whose time series streams into the JSONL rows. Output formats
 // other than text resolve through the sink registry the same way
 // (-format jsonl|csv|summary), and unknown names on any of these flags
@@ -88,7 +88,6 @@ func run(args []string, out io.Writer) error {
 	schedule := fs.String("schedule", "none", "comma-separated perturbation schedules, e.g. none,delay:p=0.25,edgefail:t=1000,count=4 — note count/repair keys belong to the preceding spec (families: "+strings.Join(engine.ScheduleNames(), "|")+")")
 	mission := fs.String("mission", "none", "comma-separated missions, e.g. none,explore,patrol:horizon=4096 — note warmup/window keys belong to the preceding spec (families: "+strings.Join(engine.MissionNames(), "|")+")")
 	doReturn := fs.Bool("return", false, "deprecated alias for -metric return; in text mode, adds the recurrence metric after the cover time")
-	walk := fs.Bool("walk", false, "deprecated alias for -process walk")
 	trials := fs.Int("trials", 16, "trials for the walk expectation estimate (walk replicas)")
 	replicas := fs.Int("replicas", 1, "replicas per grid cell, each with a derived seed")
 	workers := fs.Int("workers", 0, "sweep engine worker pool size (0 = GOMAXPROCS); never affects results")
@@ -107,15 +106,7 @@ func run(args []string, out io.Writer) error {
 			trialsSet = true
 		}
 	})
-	// Resolve the process name: explicit -process wins, the deprecated
-	// -walk alias is honored otherwise, and conflicts are rejected.
 	procName := strings.ToLower(*process)
-	if *walk {
-		if procName != "" && procName != engine.ProcWalk {
-			return fmt.Errorf("-walk conflicts with -process %s", procName)
-		}
-		procName = engine.ProcWalk
-	}
 	if procName == "" {
 		procName = engine.ProcRotor
 	}

@@ -25,7 +25,7 @@ func TestRotorRun(t *testing.T) {
 
 func TestWalkRun(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-topology", "ring", "-n", "128", "-k", "4", "-walk", "-trials", "4"}, &buf)
+	err := run([]string{"-topology", "ring", "-n", "128", "-k", "4", "-process", "walk", "-trials", "4"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSweepWorkerIndependence(t *testing.T) {
 
 func TestWalkSweepReturn(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-n", "32", "-k", "4", "-walk", "-return",
+	err := run([]string{"-n", "32", "-k", "4", "-process", "walk", "-return",
 		"-trials", "2", "-format", "jsonl"}, &buf)
 	if err != nil {
 		t.Fatal(err)

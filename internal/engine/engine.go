@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 )
@@ -129,4 +130,32 @@ func (e *Engine) Run(spec SweepSpec, sinks ...Sink) ([]Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// WriteJSONL runs the sweep on a pool of the given size (0 = GOMAXPROCS)
+// and streams one JSON object per job to w, in canonical order; output is
+// byte-identical for any worker count.
+func (s SweepSpec) WriteJSONL(w io.Writer, workers int) error {
+	_, err := New(Workers(workers)).Run(s, NewJSONLSink(w))
+	return err
+}
+
+// WriteCSV runs the sweep and streams the rows as CSV to w, in canonical
+// order; output is byte-identical for any worker count.
+func (s SweepSpec) WriteCSV(w io.Writer, workers int) error {
+	_, err := New(Workers(workers)).Run(s, NewCSVSink(w))
+	return err
+}
+
+// WriteFormat runs the sweep and streams the rows to w in a registered
+// output format resolved by name (see SinkNames); like the typed writers,
+// the output is byte-identical for any worker count. Unknown names fail
+// with an error listing the registered formats.
+func (s SweepSpec) WriteFormat(w io.Writer, format string, workers int) error {
+	sink, err := NewSink(format, w)
+	if err != nil {
+		return err
+	}
+	_, err = New(Workers(workers)).Run(s, sink)
+	return err
 }

@@ -15,7 +15,7 @@ import (
 // stays out of seed derivation.
 func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	spec := SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{24, 48},
 		Agents:     []int{1, 6, 96},
 		Placements: []Placement{PlaceSingle, PlaceEqual, PlaceRandom},
@@ -61,7 +61,7 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 // replica index).
 func TestWalkReuseMatchesFreshWalks(t *testing.T) {
 	base := SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{32},
 		Agents:     []int{4},
 		Placements: []Placement{PlaceEqual},

@@ -56,14 +56,14 @@ type rotorProc struct {
 }
 
 func newRotorProc(env *JobEnv) (Proc, error) {
-	pointers, err := initialPointers(env.Cell, env.Graph, env.Positions, env.RNG)
+	pointers, err := env.Cell.Pointer.Pointers(env.Graph, env.Positions, env.RNG)
 	if err != nil {
 		return nil, err
 	}
 	sys, err := core.NewSystem(env.Graph,
 		core.WithAgentsAt(env.Positions...),
 		core.WithPointers(pointers),
-		core.WithKernelMode(kernelMode(env.Kernel)))
+		core.WithKernelMode(env.Kernel.CoreMode()))
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ type walkProc struct {
 
 func newWalkProc(env *JobEnv) (Proc, error) {
 	w, err := randwalk.New(env.Graph, env.Positions, env.RNG,
-		randwalk.WithMode(walkMode(env.Kernel)))
+		randwalk.WithMode(env.Kernel.WalkMode()))
 	if err != nil {
 		return nil, err
 	}

@@ -103,12 +103,12 @@ func (p *noisyProc) RunUntilCovered(maxRounds int64) (int64, error) {
 // identical across worker counts (the determinism contract).
 func TestRandomizedWithoutReseederDeterministic(t *testing.T) {
 	spec := SweepSpec{
-		Topology: "ring",
-		Sizes:    []int{16, 32},
-		Agents:   []int{1},
-		Process:  "noisy",
-		Replicas: 4,
-		Seed:     11,
+		Topologies: []Topo{"ring"},
+		Sizes:      []int{16, 32},
+		Agents:     []int{1},
+		Process:    "noisy",
+		Replicas:   4,
+		Seed:       11,
 	}
 	rows1, err := New(Workers(1)).Run(spec)
 	if err != nil {
@@ -139,11 +139,11 @@ func TestRandomizedWithoutReseederDeterministic(t *testing.T) {
 // dispatched through capabilities.
 func TestRegistryCustomProcess(t *testing.T) {
 	rows, err := New(Workers(2)).Run(SweepSpec{
-		Topology: "ring",
-		Sizes:    []int{16, 32},
-		Agents:   []int{1},
-		Process:  "beacon",
-		Replicas: 2,
+		Topologies: []Topo{"ring"},
+		Sizes:      []int{16, 32},
+		Agents:     []int{1},
+		Process:    "beacon",
+		Replicas:   2,
 		// Pointer policies must be ignored (collapsed) for a process
 		// without pointers.
 		Pointers: []Pointer{PtrZero, PtrNegative},
@@ -172,7 +172,7 @@ func TestRegistryCustomProcess(t *testing.T) {
 	// The recurrence metric is a capability the beacon lacks: the job
 	// fails as a row, not a crash.
 	rows, err = New().Run(SweepSpec{
-		Topology: "ring", Sizes: []int{16}, Agents: []int{1},
+		Topologies: []Topo{"ring"}, Sizes: []int{16}, Agents: []int{1},
 		Process: "beacon", Metric: MetricReturn,
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ func TestRegistryCustomProcess(t *testing.T) {
 // TestUnknownNamesRejected: unknown process/metric/probe names fail spec
 // validation before any worker starts.
 func TestUnknownNamesRejected(t *testing.T) {
-	base := SweepSpec{Topology: "ring", Sizes: []int{16}, Agents: []int{2}}
+	base := SweepSpec{Topologies: []Topo{"ring"}, Sizes: []int{16}, Agents: []int{2}}
 
 	spec := base
 	spec.Process = "teleport"
@@ -246,7 +246,7 @@ func TestAutoBudgetRule(t *testing.T) {
 // deterministic cells.
 func probedSpec() SweepSpec {
 	return SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{32, 48},
 		Agents:     []int{2, 4},
 		Placements: []Placement{PlaceEqual, PlaceRandom},
@@ -290,7 +290,7 @@ func TestObservedSweepDeterministic(t *testing.T) {
 // identical measured values to the unobserved sweep.
 func TestObservedSweepSeries(t *testing.T) {
 	spec := SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{64},
 		Agents:     []int{4},
 		Placements: []Placement{PlaceEqual},
@@ -355,7 +355,7 @@ func TestObservedSweepSeries(t *testing.T) {
 // the ring (and yields nothing for walks, rather than failing).
 func TestDomainsProbeInSweep(t *testing.T) {
 	spec := SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{48},
 		Agents:     []int{3},
 		Placements: []Placement{PlaceEqual},

@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 
-	"rotorring/internal/core"
 	"rotorring/internal/graph"
-	"rotorring/internal/randwalk"
 	"rotorring/internal/xrand"
 	"rotorring/probe"
 )
@@ -76,32 +73,6 @@ type worker struct {
 
 func newWorker(graphs *graphCache) *worker {
 	return &worker{graphs: graphs, protoCell: -1}
-}
-
-// kernelMode maps the sweep-level kernel selection to the rotor engine's.
-func kernelMode(k Kernel) core.KernelMode {
-	switch k {
-	case KernelGeneric:
-		return core.KernelGeneric
-	case KernelFast:
-		return core.KernelFast
-	case KernelParallel:
-		return core.KernelParallel
-	default:
-		return core.KernelAuto
-	}
-}
-
-// walkMode maps the sweep-level kernel selection to the walk engine's.
-func walkMode(k Kernel) randwalk.Mode {
-	switch k {
-	case KernelGeneric:
-		return randwalk.ModeAgents
-	case KernelFast, KernelParallel:
-		return randwalk.ModeCounts
-	default:
-		return randwalk.ModeAuto
-	}
 }
 
 // graph returns the shared cached graph for a cell, constructing it on
@@ -200,7 +171,7 @@ func (w *worker) runJob(spec *SweepSpec, c Cell, replica int) Row {
 	deterministic := c.Placement != PlaceRandom && c.Pointer != PtrRandom
 	rng := xrand.New(seed)
 
-	positions, err := placePositions(c, g, rng)
+	positions, err := c.Placement.Positions(g, c.K, rng)
 	if err != nil {
 		row.Err = err.Error()
 		return row
@@ -287,40 +258,4 @@ func buildProbes(specs []ProbeSpec, nodes int) ([]probe.Probe, error) {
 		probes = append(probes, p)
 	}
 	return probes, nil
-}
-
-// placePositions computes the initial agent positions of one job.
-func placePositions(c Cell, g *graph.Graph, rng *xrand.Rand) ([]int, error) {
-	n := g.NumNodes()
-	switch c.Placement {
-	case PlaceSingle:
-		return core.AllOnNode(0, c.K), nil
-	case PlaceEqual:
-		return core.EquallySpaced(n, c.K), nil
-	case PlaceRandom:
-		return core.RandomPositions(n, c.K, rng), nil
-	default:
-		return nil, errInvalid("placement", int(c.Placement))
-	}
-}
-
-// initialPointers computes the initial pointer arrangement of one job.
-func initialPointers(c Cell, g *graph.Graph, positions []int, rng *xrand.Rand) ([]int, error) {
-	switch c.Pointer {
-	case PtrZero:
-		return core.PointersUniform(g, 0), nil
-	case PtrNegative:
-		return core.PointersNegative(g, positions)
-	case PtrToward:
-		return core.PointersTowardNode(g, 0)
-	case PtrRandom:
-		return core.PointersRandom(g, rng), nil
-	default:
-		return nil, errInvalid("pointer policy", int(c.Pointer))
-	}
-}
-
-// errInvalid reports an enum value that slipped past spec validation.
-func errInvalid(what string, v int) error {
-	return fmt.Errorf("engine: invalid %s %d", what, v)
 }

@@ -12,6 +12,10 @@ import (
 	"fmt"
 	"strings"
 
+	"rotorring/internal/core"
+	"rotorring/internal/graph"
+	"rotorring/internal/randwalk"
+	"rotorring/internal/xrand"
 	"rotorring/probe"
 )
 
@@ -25,19 +29,22 @@ type ProbeSpec struct {
 	Stride int64 `json:"stride"`
 }
 
-// Placement selects the initial agent positions of a sweep cell. The values
-// deliberately mirror the root package's PlacementPolicy constants so the
-// public API can convert by casting.
+// Placement selects the initial agent positions of a sweep cell or a
+// single simulation; the root package exports it as
+// rotorring.PlacementPolicy.
 type Placement int
 
-// Placements.
+// Placements. The paper's Table 1 distinguishes the worst-case placement
+// (all agents on one node, Theorem 1) from the best case (equal spacing,
+// Theorem 3).
 const (
-	// PlaceSingle puts all k agents on node 0 (the paper's worst case).
+	// PlaceSingle (rotorring.PlaceSingleNode) puts all k agents on node 0
+	// (the worst case).
 	PlaceSingle Placement = iota + 1
-	// PlaceEqual spreads the agents at positions floor(i*n/k) (best case).
+	// PlaceEqual (rotorring.PlaceEqualSpacing) spreads the agents at
+	// positions floor(i*n/k) (the best case).
 	PlaceEqual
-	// PlaceRandom samples k independent uniform positions from the job
-	// seed.
+	// PlaceRandom samples k independent uniform positions from the seed.
 	PlaceRandom
 )
 
@@ -68,21 +75,42 @@ func (p Placement) String() string {
 	}
 }
 
-// Pointer selects the initial port-pointer arrangement of a sweep cell
-// (rotor-router only). Values mirror the root package's PointerPolicy.
+// Positions computes the initial positions of k agents on g. PlaceRandom
+// draws them from rng; the other placements draw nothing.
+func (p Placement) Positions(g *graph.Graph, k int, rng *xrand.Rand) ([]int, error) {
+	switch p {
+	case PlaceSingle:
+		return core.AllOnNode(0, k), nil
+	case PlaceEqual:
+		return core.EquallySpaced(g.NumNodes(), k), nil
+	case PlaceRandom:
+		return core.RandomPositions(g.NumNodes(), k, rng), nil
+	default:
+		return nil, errInvalid("placement", int(p))
+	}
+}
+
+// Pointer selects the initial port-pointer arrangement (rotor-router
+// only) — the part of the configuration the paper's adversary controls.
+// The root package exports it as rotorring.PointerPolicy.
 type Pointer int
 
 // Pointer arrangements.
 const (
-	// PtrZero leaves every pointer at port 0.
+	// PtrZero (rotorring.PointerZero) leaves every pointer at port 0 (all
+	// clockwise on the ring).
 	PtrZero Pointer = iota + 1
-	// PtrNegative points every node toward its nearest starting agent
-	// (the adversarial barrier of Theorem 4).
+	// PtrNegative (rotorring.PointerNegative) points every node toward its
+	// nearest starting agent, so the first visit to each new node reflects
+	// the visitor back — the paper's "negatively initialized" adversarial
+	// barrier (§2.2, Theorem 4).
 	PtrNegative
-	// PtrToward points every node toward node 0 along shortest paths
-	// (with PlaceSingle, the Theta(n^2/log k) worst case of Theorem 1).
+	// PtrToward (rotorring.PointerTowardStart) points every node toward
+	// node 0 along shortest paths: with PlaceSingle this is the
+	// Theta(n^2/log k) worst case of Theorem 1.
 	PtrToward
-	// PtrRandom samples uniform pointers from the job seed.
+	// PtrRandom (rotorring.PointerRandom) samples uniform pointers from
+	// the seed.
 	PtrRandom
 )
 
@@ -117,12 +145,36 @@ func (p Pointer) String() string {
 	}
 }
 
-// Kernel selects the stepping tier jobs run on (see internal/kernel).
-// Rotor jobs are bit-identical across tiers. Walk jobs are exactly the
-// same process under either engine, but the engines consume the seed's
-// random stream differently, so a walk job's sampled trajectory — not its
-// distribution — changes with the tier. The knob deliberately does not
-// enter job-seed derivation.
+// Pointers computes the initial pointer of every node of g for agents
+// starting at positions. PtrRandom draws them from rng; the other
+// arrangements draw nothing.
+func (p Pointer) Pointers(g *graph.Graph, positions []int, rng *xrand.Rand) ([]int, error) {
+	switch p {
+	case PtrZero:
+		return core.PointersUniform(g, 0), nil
+	case PtrNegative:
+		return core.PointersNegative(g, positions)
+	case PtrToward:
+		return core.PointersTowardNode(g, 0)
+	case PtrRandom:
+		return core.PointersRandom(g, rng), nil
+	default:
+		return nil, errInvalid("pointer policy", int(p))
+	}
+}
+
+// errInvalid reports an enum value outside its declared range.
+func errInvalid(what string, v int) error {
+	return fmt.Errorf("engine: invalid %s %d", what, v)
+}
+
+// Kernel selects the stepping tier jobs run on (see internal/kernel); the
+// root package exports it as rotorring.KernelPolicy. Rotor jobs are
+// bit-identical across tiers. Walk jobs are exactly the same process under
+// either engine, but the engines consume the seed's random stream
+// differently, so a walk job's sampled trajectory — not its distribution —
+// changes with the tier. The knob deliberately does not enter job-seed
+// derivation.
 type Kernel int
 
 // Kernel tiers. The zero value is the default (automatic selection).
@@ -172,6 +224,33 @@ func (k Kernel) String() string {
 	}
 }
 
+// CoreMode maps the tier selection to the rotor engine's kernel mode.
+func (k Kernel) CoreMode() core.KernelMode {
+	switch k {
+	case KernelGeneric:
+		return core.KernelGeneric
+	case KernelFast:
+		return core.KernelFast
+	case KernelParallel:
+		return core.KernelParallel
+	default:
+		return core.KernelAuto
+	}
+}
+
+// WalkMode maps the tier selection to the walk engine's stepping mode:
+// generic to per-agent, fast and parallel to counts.
+func (k Kernel) WalkMode() randwalk.Mode {
+	switch k {
+	case KernelGeneric:
+		return randwalk.ModeAgents
+	case KernelFast, KernelParallel:
+		return randwalk.ModeCounts
+	default:
+		return randwalk.ModeAuto
+	}
+}
+
 // Process and metric names. Sweeps select both by name from the process
 // registry (see process.go), so third processes and metrics plug in
 // without engine edits; these constants name the built-ins.
@@ -202,59 +281,81 @@ const (
 )
 
 // SweepSpec describes a grid of experiment configurations: the cross
-// product Topologies x Sizes x Agents x Placements x Pointers, each run
-// Replicas times. The zero value of the optional fields selects defaults
-// (ring topology, rotor process, cover metric, one replica, automatic
-// round budget).
+// product Topologies x Sizes x Agents x Placements x Pointers x Schedules
+// x Missions, each configuration run Replicas times with a seed derived
+// from Seed and the configuration (never from execution order), so sweeps
+// produce bit-identical results regardless of how many workers run them.
+// The root package exports it as rotorring.SweepSpec; the constants named
+// below are the engine's spellings, with the root package's names in
+// parentheses.
+//
+// Zero-valued optional fields select defaults: ring topology, PlaceSingle,
+// PtrZero, rotor process, cover metric, one replica, automatic round
+// budget. Seed 0 is a valid base seed.
+//
+// The only serialized form is the versioned wire spec (EncodeWireSpec,
+// DecodeWireSpec, and the public specjson package): the format the rotord
+// sweep service accepts and the preimage of its content-addressed sweep
+// ids.
 type SweepSpec struct {
 	// Topologies lists the parameterized topology specs to sweep (see the
 	// topology registry in topology.go for the grammar and RegisterTopology
 	// for adding families). Axis-sized specs ("ring", "grid", "rr:3") take
 	// their size parameter from Sizes; self-sized specs ("grid:64x32",
 	// "rr:3x512") fix the graph themselves and contribute exactly one size
-	// cell each. One sweep may mix topologies freely.
-	Topologies []Topo `json:"topologies,omitempty"`
-	// Topology names a single graph family.
-	//
-	// Deprecated: set Topologies. Topology is honored only while
-	// Topologies is empty.
-	Topology string `json:"topology,omitempty"`
-	// Sizes lists the size parameters n for the axis-sized topologies.
-	// It may be empty when every entry of Topologies is self-sized.
-	Sizes []int `json:"sizes,omitempty"`
+	// cell each. One sweep may mix topologies freely and streams the whole
+	// heterogeneous grid in one canonical order. Seeded families (rr,
+	// shuffled) build their graphs deterministically from Seed. Empty
+	// selects the ring.
+	Topologies []Topo
+	// Sizes lists the size parameters for the axis-sized topologies: node
+	// count (ring/path/complete/star/rr), side length (grid/torus),
+	// dimension (hypercube) or level count (btree). It may be empty when
+	// every entry of Topologies is self-sized.
+	Sizes []int
 	// Agents lists the agent counts k to sweep.
-	Agents []int `json:"agents"`
-	// Placements lists the initial placements; default PlaceSingle.
-	Placements []Placement `json:"placements,omitempty"`
-	// Pointers lists the pointer arrangements; default PtrZero. Ignored
-	// (collapsed to one cell) for processes without pointers, e.g.
+	Agents []int
+	// Placements lists the initial placements; default PlaceSingle
+	// (rotorring.PlaceSingleNode). PlaceEqual (PlaceEqualSpacing) and
+	// PlaceRandom are the others.
+	Placements []Placement
+	// Pointers lists the pointer arrangements; default PtrZero
+	// (rotorring.PointerZero). PtrNegative (PointerNegative), PtrToward
+	// (PointerTowardStart) and PtrRandom (PointerRandom) are the others.
+	// Ignored (collapsed to one cell) for processes without pointers, e.g.
 	// ProcWalk.
-	Pointers []Pointer `json:"pointers,omitempty"`
-	// Process names the registered process to run (ProcessNames lists
-	// them); default ProcRotor.
-	Process string `json:"process,omitempty"`
-	// Metric names the registered quantity to measure (MetricNames lists
-	// them); default MetricCover.
-	Metric string `json:"metric,omitempty"`
-	// Probes names the registered probes sampled during each job, each
-	// with its stride in rounds. Sampled points stream into the JSONL sink
-	// as each row's "series" field (the CSV sink omits them); they require
-	// MetricCover. Probes never affect measured values or seeds.
-	Probes []ProbeSpec `json:"probes,omitempty"`
+	Pointers []Pointer
+	// Process names the registered process to run ("rotor", "walk", or any
+	// name added to the registry; ProcessNames lists them); default
+	// ProcRotor.
+	Process string
+	// Metric names the registered quantity to measure ("cover", "return",
+	// "restab_time", "cover_after_fault"; MetricNames lists them); default
+	// MetricCover.
+	Metric string
+	// Probes names the registered probes (see rotorring/probe) sampled
+	// during each job, each with its stride in rounds. Sampled points
+	// stream into the JSONL sink as each row's "series" field (the CSV
+	// sink omits them); they require MetricCover. Probes never affect
+	// measured values or seeds.
+	Probes []ProbeSpec
 	// Replicas is the number of runs per cell, each with its own derived
 	// seed; default 1. Replicas of a deterministic configuration verify
 	// reproducibility; replicas of randomized ones sample it.
-	Replicas int `json:"replicas,omitempty"`
+	Replicas int
 	// Seed is the base seed every job seed is derived from. Zero is a
 	// valid base, distinct from every other.
-	Seed uint64 `json:"seed,omitempty"`
+	Seed uint64
 	// MaxRounds bounds each run; 0 selects an automatic budget well above
 	// the paper's worst-case Theta(n^2).
-	MaxRounds int64 `json:"maxRounds,omitempty"`
-	// Kernel selects the stepping tier; default KernelAuto. Rotor results
-	// are bit-identical across tiers; walk trials are resampled (see
-	// Kernel). Seeds never depend on it.
-	Kernel Kernel `json:"kernel,omitempty"`
+	MaxRounds int64
+	// Kernel selects the stepping tier; default KernelAuto. KernelGeneric
+	// and KernelFast (the same names in the root package) force a tier;
+	// KernelParallel, spelled "parallel" on the wire and in rotorsim
+	// -kernel, adds within-round sharding. Rotor results are bit-identical
+	// across tiers; walk trials are resampled under a different, equally
+	// distributed random stream (see Kernel). Seeds never depend on it.
+	Kernel Kernel
 	// Schedules lists the perturbation schedules to sweep (see the schedule
 	// registry in schedule.go for the grammar and RegisterSchedule for
 	// adding families): "none", "delay:p=0.25", "edgefail:t=1000,count=4",
@@ -264,8 +365,10 @@ type SweepSpec struct {
 	// seeds deliberately do not depend on the schedule, so the same cell
 	// under different schedules starts from the same initial configuration
 	// and rows are directly comparable; only the schedule's own event
-	// stream is derived from the schedule spec.
-	Schedules []Schedule `json:"schedules,omitempty"`
+	// stream is derived from the schedule spec. The restab_time and
+	// cover_after_fault metrics measure re-stabilization and re-coverage
+	// after the schedule's fault.
+	Schedules []Schedule
 	// Missions lists the mission specs to sweep (see the mission registry
 	// in mission.go for the grammar and RegisterMission for adding
 	// families): "none", "explore", "return", "quiesce:window=4096",
@@ -278,7 +381,7 @@ type SweepSpec struct {
 	// carries mission_rounds plus the mission's own metrics. Job seeds
 	// deliberately do not depend on the mission, so the same cell under
 	// different missions starts from the same initial configuration.
-	Missions []Mission `json:"missions,omitempty"`
+	Missions []Mission
 
 	// topos is the parsed, validated form of Topologies, filled by
 	// withDefaults; scheds the compiled form of Schedules; miss the
@@ -297,13 +400,7 @@ func (s SweepSpec) withDefaults() (SweepSpec, error) {
 	// canonicalizes, so seed derivation (which hashes the spec string)
 	// cannot distinguish "RING" from "ring".
 	if len(s.Topologies) == 0 {
-		// The deprecated single-family alias, honored while Topologies is
-		// empty.
-		t := s.Topology
-		if t == "" {
-			t = "ring"
-		}
-		s.Topologies = []Topo{Topo(t)}
+		s.Topologies = []Topo{"ring"}
 	}
 	s.topos = make([]topoInstance, 0, len(s.Topologies))
 	canon := make([]Topo, len(s.Topologies)) // fresh slice: never mutate the caller's

@@ -8,13 +8,13 @@ import (
 )
 
 // This file is the wire-level codec for SweepSpec: the versioned JSON form
-// specs take on disk and over the service API (see the public specjson
-// package for the rotorring.SweepSpec wrappers). The wire format is a clean
-// restart of the spec surface — enums travel as their flag strings, every
-// list entry is canonicalized on decode, and the library's deprecated
-// escape hatches (Topology / Walk / ReturnTime) are rejected outright: the
-// library keeps honoring them for source compatibility, but they never
-// appear on the wire in either direction.
+// specs take on disk and over the service API (the public specjson package
+// exposes it for rotorring.SweepSpec, which is this type). SweepSpec itself
+// carries no JSON tags, so this is its only serialized form. Enums travel
+// as their flag strings, every list entry is canonicalized on decode, and
+// the spellings of the removed library fields (topology, walk, returnTime)
+// are rejected with a hint naming their replacement, so old client
+// documents fail loudly instead of silently losing a field.
 
 // WireVersion is the current wire-format version. Decoding requires an
 // explicit matching "v" field: specs are long-lived artifacts (spool
@@ -166,13 +166,10 @@ func DecodeWireSpec(data []byte) (SweepSpec, error) {
 }
 
 // EncodeWireSpec renders a spec in canonical version-1 wire form: "v": 1
-// first, enums as strings, topology and schedule specs canonicalized, zero
-// fields omitted. The deprecated library fields are translated to their
-// clean spellings before encoding (Topology joins Topologies; Walk and the
-// caller-side ReturnTime mapping are the specjson wrapper's concern), so
-// deprecated spellings cannot leak onto the wire. The output is
-// deterministic: equal specs encode to equal bytes, which is what sweep
-// ids and spool spec hashes are derived from.
+// first, enums as strings, topology, schedule and mission specs
+// canonicalized, zero fields omitted. The output is deterministic: equal
+// specs encode to equal bytes, which is what sweep ids and spool spec
+// hashes are derived from.
 func EncodeWireSpec(spec SweepSpec) ([]byte, error) {
 	// Validate (and reuse the normalization's canonicalization work) up
 	// front: encoding an invalid spec would just defer the failure to the
@@ -191,12 +188,7 @@ func EncodeWireSpec(spec SweepSpec) ([]byte, error) {
 		Seed:      spec.Seed,
 		MaxRounds: spec.MaxRounds,
 	}
-	topos := spec.Topologies
-	if len(topos) == 0 && spec.Topology != "" {
-		// The deprecated single-family field travels as a one-entry list.
-		topos = []Topo{Topo(spec.Topology)}
-	}
-	for _, t := range topos {
+	for _, t := range spec.Topologies {
 		topo, err := ParseTopo(string(t))
 		if err != nil {
 			return nil, err

@@ -64,19 +64,6 @@ func TestWireSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireSpecEncodeTranslatesDeprecatedTopology(t *testing.T) {
-	b, err := EncodeWireSpec(SweepSpec{Topology: "Grid", Sizes: []int{8}, Agents: []int{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(b, []byte(`"topologies":["grid"]`)) {
-		t.Errorf("deprecated Topology not translated to topologies list: %s", b)
-	}
-	if bytes.Contains(b, []byte(`"topology"`)) {
-		t.Errorf("deprecated spelling leaked onto the wire: %s", b)
-	}
-}
-
 func TestWireSpecDecodeRejections(t *testing.T) {
 	cases := []struct {
 		name, body, want string

@@ -11,50 +11,54 @@ import (
 	"rotorring/internal/xrand"
 )
 
-// PlacementPolicy selects the initial agent positions.
-type PlacementPolicy int
+// PlacementPolicy selects the initial agent positions. The paper's Table 1
+// distinguishes the worst-case placement (all agents on one node,
+// Theorem 1) from the best case (equal spacing, Theorem 3). It is the
+// engine's placement type, so the same values configure single
+// simulations and SweepSpec.Placements.
+type PlacementPolicy = engine.Placement
 
-// Placement policies. The paper's Table 1 distinguishes the worst-case
-// placement (all agents on one node, Theorem 1) from the best case (equal
-// spacing, Theorem 3).
+// Placement policies.
 const (
 	// PlaceSingleNode puts all k agents on node 0 (worst case).
-	PlaceSingleNode PlacementPolicy = iota + 1
+	PlaceSingleNode = engine.PlaceSingle
 	// PlaceEqualSpacing spreads the agents at positions floor(i·n/k)
 	// (best case).
-	PlaceEqualSpacing
+	PlaceEqualSpacing = engine.PlaceEqual
 	// PlaceRandom samples k independent uniform positions from the seed.
-	PlaceRandom
+	PlaceRandom = engine.PlaceRandom
 )
 
 // PointerPolicy selects the initial port pointers — the part of the
-// configuration the paper's adversary controls.
-type PointerPolicy int
+// configuration the paper's adversary controls. It is the engine's pointer
+// type, shared with SweepSpec.Pointers.
+type PointerPolicy = engine.Pointer
 
 // Pointer policies.
 const (
 	// PointerZero leaves every pointer at port 0 (all clockwise on the
 	// ring).
-	PointerZero PointerPolicy = iota + 1
+	PointerZero = engine.PtrZero
 	// PointerNegative points every node toward its nearest starting
 	// agent, so the first visit to each new node reflects the visitor
 	// back — the paper's "negatively initialized" adversarial barrier
 	// (§2.2, Theorem 4).
-	PointerNegative
+	PointerNegative = engine.PtrNegative
 	// PointerTowardStart points every node toward node 0 along shortest
 	// paths: combined with PlaceSingleNode this is the Θ(n²/log k) worst
 	// case of Theorem 1.
-	PointerTowardStart
+	PointerTowardStart = engine.PtrToward
 	// PointerRandom samples uniform pointers from the seed.
-	PointerRandom
+	PointerRandom = engine.PtrRandom
 )
 
 // KernelPolicy selects the stepping tier of a simulation (see
 // internal/kernel): the specialized ring/path rotor kernels and the
 // counts-based walk engine are several times faster in the paper's dense
 // regimes and produce identical results (bit-identical for the rotor,
-// statistically identical for walks).
-type KernelPolicy int
+// statistically identical for walks). It is the engine's kernel type,
+// shared with SweepSpec.Kernel.
+type KernelPolicy = engine.Kernel
 
 // Kernel policies.
 const (
@@ -62,25 +66,13 @@ const (
 	// population: for the rotor, by the number of occupied nodes,
 	// re-checked during the run; for walks, by walker density. This is the
 	// default.
-	KernelAuto KernelPolicy = iota
+	KernelAuto = engine.KernelAuto
 	// KernelGeneric forces the generic rotor engine / per-agent walks.
-	KernelGeneric
+	KernelGeneric = engine.KernelGeneric
 	// KernelFast forces the specialized rotor kernel (where the topology
 	// has one) / counts-based walks.
-	KernelFast
+	KernelFast = engine.KernelFast
 )
-
-// coreMode maps the public policy to the rotor engine's kernel mode.
-func (k KernelPolicy) coreMode() core.KernelMode {
-	switch k {
-	case KernelGeneric:
-		return core.KernelGeneric
-	case KernelFast:
-		return core.KernelFast
-	default:
-		return core.KernelAuto
-	}
-}
 
 // SimOption configures NewRotorSim or NewWalkSim.
 type SimOption func(*simConfig) error
@@ -178,44 +170,32 @@ func Kernel(k KernelPolicy) SimOption {
 	}
 }
 
-// resolve computes concrete positions and pointers from the options.
+// resolve computes concrete positions and pointers from the options, with
+// the engine's resolvers: positions first, then pointers, both drawing
+// from one generator seeded like a sweep job, so a facade built with
+// Seed(row.Seed) starts exactly where that sweep row did.
 func (c *simConfig) resolve(g *Graph) (positions []int, pointers []int, err error) {
 	rng := xrand.New(c.seed)
-	n := g.NumNodes()
-
 	positions = c.positions
 	if positions == nil {
-		k := c.k
+		k, place := c.k, c.placement
 		if k == 0 {
 			k = 1
 		}
-		switch c.placement {
-		case PlaceEqualSpacing:
-			positions = core.EquallySpaced(n, k)
-		case PlaceRandom:
-			positions = core.RandomPositions(n, k, rng)
-		case PlaceSingleNode, 0:
-			positions = core.AllOnNode(0, k)
-		default:
-			return nil, nil, fmt.Errorf("rotorring: unknown placement policy %d", c.placement)
+		if place == 0 {
+			place = PlaceSingleNode
+		}
+		if positions, err = place.Positions(g, k, rng); err != nil {
+			return nil, nil, err
 		}
 	}
-
 	pointers = c.customPtr
 	if pointers == nil {
-		switch c.pointers {
-		case PointerNegative:
-			pointers, err = core.PointersNegative(g, positions)
-		case PointerTowardStart:
-			pointers, err = core.PointersTowardNode(g, 0)
-		case PointerRandom:
-			pointers = core.PointersRandom(g, rng)
-		case PointerZero, 0:
-			pointers = core.PointersUniform(g, 0)
-		default:
-			return nil, nil, fmt.Errorf("rotorring: unknown pointer policy %d", c.pointers)
+		ptr := c.pointers
+		if ptr == 0 {
+			ptr = PointerZero
 		}
-		if err != nil {
+		if pointers, err = ptr.Pointers(g, positions, rng); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -248,7 +228,7 @@ func NewRotorSim(g *Graph, opts ...SimOption) (*RotorSim, error) {
 	coreOpts := []core.Option{
 		core.WithAgentsAt(positions...),
 		core.WithPointers(pointers),
-		core.WithKernelMode(cfg.kernel.coreMode()),
+		core.WithKernelMode(cfg.kernel.CoreMode()),
 	}
 	if cfg.tracking {
 		coreOpts = append(coreOpts, core.WithFlowRecording())

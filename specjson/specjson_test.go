@@ -62,13 +62,16 @@ var goldenSpecs = []struct {
 		},
 	},
 	{
+		// Named for the removed Topology/Walk/ReturnTime spelling it once
+		// translated; the fixture pins that the clean fields encode to the
+		// same bytes.
 		name: "deprecated_translated",
 		spec: rotorring.SweepSpec{
-			Topology:   "Grid",
+			Topologies: []rotorring.Topo{"Grid"},
 			Sizes:      []int{8},
 			Agents:     []int{2},
-			Walk:       true,
-			ReturnTime: true,
+			Process:    "walk",
+			Metric:     "return",
 			Seed:       7,
 		},
 	},

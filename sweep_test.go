@@ -5,71 +5,58 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"rotorring/internal/engine"
 )
 
-// TestPolicyValuesAligned guards the cast-based conversion between the
-// public policy enums and the engine's: the numeric values must stay equal.
-func TestPolicyValuesAligned(t *testing.T) {
-	placements := map[PlacementPolicy]engine.Placement{
-		PlaceSingleNode:   engine.PlaceSingle,
-		PlaceEqualSpacing: engine.PlaceEqual,
-		PlaceRandom:       engine.PlaceRandom,
-	}
-	for pub, eng := range placements {
-		if int(pub) != int(eng) {
-			t.Errorf("placement %v = %d, engine %v = %d", pub, int(pub), eng, int(eng))
-		}
-	}
-	pointers := map[PointerPolicy]engine.Pointer{
-		PointerZero:        engine.PtrZero,
-		PointerNegative:    engine.PtrNegative,
-		PointerTowardStart: engine.PtrToward,
-		PointerRandom:      engine.PtrRandom,
-	}
-	for pub, eng := range pointers {
-		if int(pub) != int(eng) {
-			t.Errorf("pointer %v = %d, engine %v = %d", pub, int(pub), eng, int(eng))
-		}
-	}
-}
-
 // TestRunSweepMatchesSingleSim: a 1-cell sweep reproduces exactly what the
-// single-simulation facade measures.
+// single-simulation facade measures. Facade and engine resolve placements
+// and pointers with the same code and draw order, so a facade seeded with a
+// sweep row's job seed starts from that row's random configuration.
 func TestRunSweepMatchesSingleSim(t *testing.T) {
-	g := Ring(96)
-	sim, err := NewRotorSim(g, Agents(4),
-		Place(PlaceEqualSpacing), Pointers(PointerNegative))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		place PlacementPolicy
+		ptr   PointerPolicy
+	}{
+		{"equal-negative", PlaceEqualSpacing, PointerNegative},
+		{"single-toward", PlaceSingleNode, PointerTowardStart},
+		{"random-random", PlaceRandom, PointerRandom},
 	}
-	want, err := sim.CoverTime(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rows, err := RunSweep(SweepSpec{
+				Sizes:      []int{96},
+				Agents:     []int{4},
+				Placements: []PlacementPolicy{c.place},
+				Pointers:   []PointerPolicy{c.ptr},
+				Seed:       11,
+			}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 1 {
+				t.Fatalf("got %d rows, want 1", len(rows))
+			}
+			r := rows[0]
+			if r.Err != "" {
+				t.Fatal(r.Err)
+			}
+			if r.Placement != c.place || r.Pointer != c.ptr {
+				t.Errorf("row policies not round-tripped: %+v", r)
+			}
 
-	rows, err := RunSweep(SweepSpec{
-		Sizes:      []int{96},
-		Agents:     []int{4},
-		Placements: []PlacementPolicy{PlaceEqualSpacing},
-		Pointers:   []PointerPolicy{PointerNegative},
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.Err != "" {
-		t.Fatal(r.Err)
-	}
-	if int64(r.Value) != want {
-		t.Errorf("sweep cover %v, facade cover %d", r.Value, want)
-	}
-	if r.Placement != PlaceEqualSpacing || r.Pointer != PointerNegative {
-		t.Errorf("row policies not round-tripped: %+v", r)
+			sim, err := NewRotorSim(Ring(96), Agents(4),
+				Place(c.place), Pointers(c.ptr), Seed(r.Seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sim.CoverTime(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(r.Value) != want {
+				t.Errorf("sweep cover %v, facade cover %d", r.Value, want)
+			}
+		})
 	}
 }
 
@@ -178,7 +165,7 @@ func TestRunSweepWalk(t *testing.T) {
 	rows, err := RunSweep(SweepSpec{
 		Sizes:    []int{48},
 		Agents:   []int{3},
-		Walk:     true,
+		Process:  "walk",
 		Replicas: 6,
 		Seed:     5,
 	}, 3)

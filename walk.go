@@ -9,19 +9,6 @@ import (
 	"rotorring/internal/xrand"
 )
 
-// walkMode maps the public policy to the walk engine's stepping mode:
-// generic ↔ per-agent, fast ↔ counts.
-func (k KernelPolicy) walkMode() randwalk.Mode {
-	switch k {
-	case KernelGeneric:
-		return randwalk.ModeAgents
-	case KernelFast:
-		return randwalk.ModeCounts
-	default:
-		return randwalk.ModeAuto
-	}
-}
-
 // WalkSim is a system of k independent synchronous random walkers — the
 // randomized baseline the paper compares the rotor-router against.
 type WalkSim struct {
@@ -53,7 +40,7 @@ func NewWalkSim(g *Graph, opts ...SimOption) (*WalkSim, error) {
 		return nil, err
 	}
 	w, err := randwalk.New(g, positions, xrand.New(cfg.seed),
-		randwalk.WithMode(cfg.kernel.walkMode()))
+		randwalk.WithMode(cfg.kernel.WalkMode()))
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +150,7 @@ func (w *WalkSim) ExpectedCoverTime(trials int, maxRounds int64) (CoverTimeSumma
 		maxRounds = engine.AutoBudget(w.g, engine.ProcWalk, engine.MetricCover)
 	}
 	times, err := randwalk.CoverTimes(w.g, w.positions, trials, w.seed, maxRounds,
-		randwalk.WithMode(w.kernel.walkMode()))
+		randwalk.WithMode(w.kernel.WalkMode()))
 	if err != nil {
 		return CoverTimeSummary{}, err
 	}
